@@ -22,9 +22,9 @@
 //!
 //! The snapshot also carries a `datalog` section: each attack-graph
 //! topology evaluated by the bottom-up engine, with fixpoint wall time,
-//! derived-fact count and round count. Against a baseline, a change in
-//! facts or rounds is fatal (the fixpoint's semantics moved); wall-time
-//! regressions are warn-only.
+//! derived-fact count, round count and join probes (with probes per
+//! derived fact). Against a baseline, a change in facts or rounds is fatal
+//! (the fixpoint's semantics moved); wall-time regressions are warn-only.
 
 use granlog_benchmarks::{
     all_benchmarks, control_benchmarks, datalog_benchmarks, nrev_benchmark, Benchmark,
@@ -72,6 +72,7 @@ struct DatalogRow {
     rounds: u64,
     edb_facts: u64,
     join_batches: u64,
+    probes: u64,
 }
 
 struct DatalogBaselineRow {
@@ -216,6 +217,7 @@ fn measure_datalog(bench: &DatalogBenchmark, size: usize, runs: usize) -> Datalo
         rounds: stats.rounds,
         edb_facts: stats.edb_facts,
         join_batches: stats.join_batches,
+        probes: stats.probes,
     }
 }
 
@@ -299,7 +301,8 @@ fn to_json(
     for (i, row) in datalog.iter().enumerate() {
         let mut line = format!(
             "    {{\"name\": \"{}\", \"label\": \"{}\", \"wall_ms\": {:.3}, \
-             \"derived_facts\": {}, \"rounds\": {}, \"edb_facts\": {}, \"join_batches\": {}",
+             \"derived_facts\": {}, \"rounds\": {}, \"edb_facts\": {}, \"join_batches\": {}, \
+             \"probes\": {}, \"probes_per_fact\": {:.2}",
             row.name,
             row.label,
             row.wall_ms,
@@ -307,6 +310,8 @@ fn to_json(
             row.rounds,
             row.edb_facts,
             row.join_batches,
+            row.probes,
+            row.probes as f64 / row.derived_facts.max(1) as f64,
         );
         if let Some(base) = datalog_baseline.iter().find(|b| b.name == row.name) {
             let _ = write!(
@@ -543,13 +548,13 @@ fn main() {
             }
             eprintln!(
                 "[bench_snapshot] {:<20} {:>9.3} ms bottom-up (baseline {:>9.3} ms; \
-                 {} facts in {} rounds)",
-                row.label, row.wall_ms, base.wall_ms, row.derived_facts, row.rounds
+                 {} facts in {} rounds, {} probes)",
+                row.label, row.wall_ms, base.wall_ms, row.derived_facts, row.rounds, row.probes
             );
         } else {
             eprintln!(
-                "[bench_snapshot] {:<20} {:>9.3} ms bottom-up ({} facts in {} rounds)",
-                row.label, row.wall_ms, row.derived_facts, row.rounds
+                "[bench_snapshot] {:<20} {:>9.3} ms bottom-up ({} facts in {} rounds, {} probes)",
+                row.label, row.wall_ms, row.derived_facts, row.rounds, row.probes
             );
         }
     }

@@ -5,9 +5,11 @@
 //! interned constant table ([`ConstTable`] — atoms and functors reuse the
 //! template machinery's global [`Symbol`] interner, and the table extends
 //! that interning to whole ground terms so tuples are fixed-width `u32`
-//! rows). Rules become [`PlannedRule`]s: a flat, ordered sequence of literal
-//! probes with per-position bound-column sets, each mapped to a registered
-//! hash-index key spec on its relation. Everything outside the subset —
+//! rows). Rules become [`PlannedRule`]s: flat, ordered sequences of literal
+//! probes with per-position read modes and bound-column sets, each mapped
+//! to a registered hash-index key spec on its relation — one plan for the
+//! seeding round and one delta-first plan per recursive literal for the
+//! semi-naive rounds. Everything outside the subset —
 //! cut, disjunction, if-then-else, arithmetic, builtins, metacalls,
 //! non-ground compound arguments — is rejected with a typed
 //! [`DatalogError`] naming the offending clause before any evaluation
@@ -18,18 +20,19 @@ use granlog_ir::pretty::TermWithNames;
 use granlog_ir::symbol::well_known;
 use granlog_ir::{Clause, FastMap, PredId, Program, Symbol, Term};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Identifier of an interned ground term in a [`ConstTable`].
 pub(crate) type ConstId = u32;
 
 /// Interning table for ground terms.
 ///
-/// Tuples in the evaluator are `Box<[ConstId]>` rows; equality and hashing
-/// are word comparisons, never term walks. Atoms are already interned
+/// Tuples in the evaluator are fixed-width `ConstId` rows; equality and
+/// hashing are word comparisons, never term walks. Atoms are already interned
 /// [`Symbol`]s, so for the common atom-constant case this adds one
 /// indirection over the global symbol table rather than a second string
 /// table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ConstTable {
     terms: Vec<Term>,
     ids: FastMap<Term, ConstId>,
@@ -417,36 +420,56 @@ fn stratify(
     }
 }
 
-/// A literal compiled to a probe: which relation, which columns are bound
-/// when the probe runs, and which registered index serves it.
+/// Which tuples of its relation a probe reads in one join batch.
+///
+/// A semi-naive round runs one plan per delta literal. Relative to that
+/// literal's source position, same-stratum recursive literals written
+/// before it read the total and those written after it read only the old
+/// tuples, so every new combination of tuples is joined exactly once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReadMode {
+    /// Every tuple: the old ones plus the previous round's insertions.
+    Total,
+    /// Only the previous round's insertions.
+    Delta,
+    /// Only the tuples inserted before the previous round.
+    Old,
+}
+
+/// A literal compiled to a probe: which relation, which tuples it reads,
+/// which columns are bound when the probe runs, and which registered index
+/// serves it.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedLiteral {
-    /// Relation (predicate) index in [`CompiledDatalog::preds`].
+    /// Relation (predicate) index in [`Schema::preds`].
     pub(crate) rel: usize,
     pub(crate) negated: bool,
+    pub(crate) read: ReadMode,
     pub(crate) args: Vec<ArgPat>,
     /// Slot in the relation's registered index list serving this probe's
-    /// bound columns (`None` when unindexed: full scan, all-columns-bound
-    /// membership, or a query-side probe).
+    /// bound columns (`None` when unindexed: full scan, or an
+    /// all-columns-bound membership test).
     pub(crate) index_slot: Option<usize>,
     /// Every column is bound: the probe is a set-membership test.
     pub(crate) all_bound: bool,
 }
 
-/// A rule compiled to a flat join plan.
+/// A rule compiled to flat join plans.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedRule {
     /// Head relation index.
     pub(crate) rel: usize,
     pub(crate) head_args: Vec<ArgPat>,
-    /// Probes in execution order: positive literals in source order, then
-    /// negated literals (whose variables are all bound by then).
-    pub(crate) lits: Vec<PlannedLiteral>,
     pub(crate) num_slots: usize,
-    /// Positions eligible to read the delta during semi-naive rounds:
-    /// positive literals over same-stratum IDB relations.
-    pub(crate) delta_positions: Vec<usize>,
     pub(crate) stratum: usize,
+    /// The seeding round's plan: positive literals in source order, then
+    /// negated literals (whose variables are all bound by then), every one
+    /// reading the total.
+    pub(crate) seed: Vec<PlannedLiteral>,
+    /// One plan per positive literal over a same-stratum IDB relation, for
+    /// the semi-naive rounds: that literal first, reading the delta, then
+    /// the other positives in source order, then the negations.
+    pub(crate) deltas: Vec<Vec<PlannedLiteral>>,
 }
 
 /// Per-predicate compile-time info.
@@ -467,6 +490,16 @@ pub(crate) struct StratumPlan {
     pub(crate) rels: Vec<usize>,
 }
 
+/// The program-wide tables every [`Database`](crate::Database) evaluated
+/// from a program shares with it: the constant table and the predicate
+/// universe. Shared behind an `Arc`, never copied per evaluation.
+#[derive(Debug)]
+pub(crate) struct Schema {
+    pub(crate) consts: ConstTable,
+    pub(crate) preds: Vec<PredInfo>,
+    pub(crate) pred_ix: FastMap<PredId, usize>,
+}
+
 /// A Datalog program compiled for bottom-up evaluation: validated subset,
 /// stratified, rules flattened to join plans, hash-index key specs
 /// registered per relation. Immutable and cheap to share.
@@ -474,9 +507,7 @@ pub(crate) struct StratumPlan {
 pub struct CompiledDatalog {
     pub(crate) rules: Vec<PlannedRule>,
     pub(crate) facts: Vec<(usize, Box<[ConstId]>)>,
-    pub(crate) consts: ConstTable,
-    pub(crate) preds: Vec<PredInfo>,
-    pub(crate) pred_ix: FastMap<PredId, usize>,
+    pub(crate) schema: Arc<Schema>,
     pub(crate) strata: Vec<StratumPlan>,
     /// Registered index key specs (sorted column lists) per relation.
     pub(crate) rel_indexes: Vec<Vec<Vec<u32>>>,
@@ -557,9 +588,11 @@ impl CompiledDatalog {
         Ok(CompiledDatalog {
             rules: planned,
             facts,
-            consts,
-            preds,
-            pred_ix,
+            schema: Arc::new(Schema {
+                consts,
+                preds,
+                pred_ix,
+            }),
             strata,
             rel_indexes,
         })
@@ -567,7 +600,8 @@ impl CompiledDatalog {
 
     /// The predicates defined by rules (the IDB), in deterministic order.
     pub fn idb_predicates(&self) -> Vec<PredId> {
-        self.preds
+        self.schema
+            .preds
             .iter()
             .filter(|p| p.has_rules)
             .map(|p| p.pred)
@@ -585,30 +619,17 @@ impl CompiledDatalog {
     }
 }
 
-/// Flattens one rule into probe order and computes bound columns + index
-/// specs. Positive literals keep source order (Datalog conjunction is
-/// commutative, and source order is the author's join-order hint); negated
-/// literals run last, when range restriction guarantees their variables are
-/// bound.
-fn plan_rule(
-    rule: &Rule,
-    preds: &[PredInfo],
-    pred_ix: &FastMap<PredId, usize>,
-    rel_indexes: &mut [Vec<Vec<u32>>],
-) -> PlannedRule {
-    let head_stratum = preds[pred_ix[&rule.pred]].stratum;
-    let ordered: Vec<&Literal> = rule
-        .body
-        .iter()
-        .filter(|l| !l.negated)
-        .chain(rule.body.iter().filter(|l| l.negated))
-        .collect();
-
+/// Compiles literals, given in probe order with their read modes, to
+/// probes: computes each one's bound columns from the slots bound by the
+/// positive literals before it, and asks `index_for` for an index over
+/// those columns when the probe is a positive partial-key lookup.
+pub(crate) fn plan_probes<'l>(
+    order: impl IntoIterator<Item = (&'l Literal, usize, ReadMode)>,
+    mut index_for: impl FnMut(usize, &[u32]) -> Option<usize>,
+) -> Vec<PlannedLiteral> {
     let mut bound_slots: BTreeSet<u32> = BTreeSet::new();
-    let mut lits = Vec::with_capacity(ordered.len());
-    let mut delta_positions = Vec::new();
-    for (pos, lit) in ordered.iter().enumerate() {
-        let rel = pred_ix[&lit.pred];
+    let mut lits = Vec::new();
+    for (lit, rel, read) in order {
         let bound_cols: Vec<u32> = lit
             .args
             .iter()
@@ -621,44 +642,100 @@ fn plan_rule(
             .collect();
         let all_bound = bound_cols.len() == lit.args.len();
         let index_slot = if !lit.negated && !all_bound && !bound_cols.is_empty() {
-            let specs = &mut rel_indexes[rel];
-            Some(
-                specs
-                    .iter()
-                    .position(|s| *s == bound_cols)
-                    .unwrap_or_else(|| {
-                        specs.push(bound_cols.clone());
-                        specs.len() - 1
-                    }),
-            )
+            index_for(rel, &bound_cols)
         } else {
             None
         };
         if !lit.negated {
-            if preds[rel].stratum == head_stratum && preds[rel].has_rules {
-                delta_positions.push(pos);
-            }
-            for a in &lit.args {
-                if let ArgPat::Var(s) = a {
-                    bound_slots.insert(*s);
-                }
-            }
+            bound_slots.extend(lit.args.iter().filter_map(|a| match a {
+                ArgPat::Var(s) => Some(*s),
+                ArgPat::Const(_) => None,
+            }));
         }
         lits.push(PlannedLiteral {
             rel,
             negated: lit.negated,
+            read,
             args: lit.args.clone(),
             index_slot,
             all_bound,
         });
     }
+    lits
+}
+
+/// Plans one rule: the seeding plan in source order, and one delta-first
+/// plan per same-stratum recursive literal, registering every index key
+/// spec the plans probe with. Positive literals otherwise keep source
+/// order (Datalog conjunction is commutative, and source order is the
+/// author's join-order hint); negated literals run last, when range
+/// restriction guarantees their variables are bound.
+fn plan_rule(
+    rule: &Rule,
+    preds: &[PredInfo],
+    pred_ix: &FastMap<PredId, usize>,
+    rel_indexes: &mut [Vec<Vec<u32>>],
+) -> PlannedRule {
+    let head_stratum = preds[pred_ix[&rule.pred]].stratum;
+    let rel_of = |lit: &Literal| pred_ix[&lit.pred];
+    let recursive = |lit: &Literal| {
+        let p = &preds[rel_of(lit)];
+        !lit.negated && p.stratum == head_stratum && p.has_rules
+    };
+    let mut register = |rel: usize, cols: &[u32]| {
+        let specs = &mut rel_indexes[rel];
+        Some(specs.iter().position(|s| s == cols).unwrap_or_else(|| {
+            specs.push(cols.to_vec());
+            specs.len() - 1
+        }))
+    };
+    let positives: Vec<&Literal> = rule.body.iter().filter(|l| !l.negated).collect();
+    let negations = || {
+        rule.body
+            .iter()
+            .filter(|l| l.negated)
+            .map(|l| (l, rel_of(l), ReadMode::Total))
+    };
+
+    let seed = plan_probes(
+        positives
+            .iter()
+            .map(|&l| (l, rel_of(l), ReadMode::Total))
+            .chain(negations()),
+        &mut register,
+    );
+    let deltas = positives
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| recursive(l))
+        .map(|(d, &delta)| {
+            let rest = positives
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != d)
+                .map(|(i, &l)| {
+                    let read = if i > d && recursive(l) {
+                        ReadMode::Old
+                    } else {
+                        ReadMode::Total
+                    };
+                    (l, rel_of(l), read)
+                });
+            plan_probes(
+                std::iter::once((delta, rel_of(delta), ReadMode::Delta))
+                    .chain(rest)
+                    .chain(negations()),
+                &mut register,
+            )
+        })
+        .collect();
 
     PlannedRule {
         rel: pred_ix[&rule.pred],
         head_args: rule.head_args.clone(),
-        lits,
         num_slots: rule.num_slots,
-        delta_positions,
         stratum: head_stratum,
+        seed,
+        deltas,
     }
 }

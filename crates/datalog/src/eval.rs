@@ -1,26 +1,41 @@
 //! Semi-naive fixpoint evaluation and query answering.
 //!
 //! Strata run in dependency order. Within a stratum, a seeding round runs
-//! every rule against the current totals, then semi-naive rounds join each
-//! rule's delta position against the previous round's new tuples: for the
-//! delta literal the probe range is exactly the previous round's insertions,
-//! positions *before* it read the full total (old plus delta) and positions
-//! *after* it read only the old tuples — every new combination is derived
-//! exactly once. Relations keep their registered hash indexes incrementally
-//! (posting lists of ascending tuple indices, extended on insert), so a
-//! round touching a one-tuple delta costs a handful of probes rather than an
-//! index rebuild — on a chain topology the fixpoint is O(n) rounds of O(1)
-//! work instead of the O(n^2) a per-round rebuild would cost.
+//! every rule's source-order plan against the current totals, then
+//! semi-naive rounds run, per rule, one plan per recursive body literal
+//! whose relation grew in the previous round. That plan probes the delta
+//! literal first, so its outer loop ranges over exactly the previous
+//! round's insertions; every later probe is keyed by the slots bound so
+//! far. Recursive literals written before the delta literal read the full
+//! total (old plus delta) and those written after it read only the old
+//! tuples, so every new combination is derived exactly once. Relations
+//! keep their registered hash indexes incrementally (posting lists of
+//! ascending tuple indices, extended on insert), so a round costs work in
+//! proportion to its delta and the delta's join partners, not to the
+//! relations' sizes: on a chain topology the fixpoint is O(n) rounds of
+//! O(1) probes each, O(n) overall.
+//!
+//! Probes build their keys in one reused buffer and look them up through
+//! `Borrow<[ConstId]>`; tuples are stored flat per relation, and stored
+//! keys of up to four ids are held inline. Join batches allocate nothing
+//! once the buffers have grown; inserting a tuple allocates only the
+//! posting list of an index key seen for the first time.
 //!
 //! Failpoint seams: `datalog.join` (one check per join batch, query probes
 //! included) and `datalog.fixpoint.round` (one check per round). Without
 //! `--features failpoints` both compile to const no-ops.
 
-use crate::compile::{ArgPat, CompiledDatalog, ConstId, ConstResolver, ConstTable, LowerCtx};
+use crate::compile::{
+    plan_probes, ArgPat, CompiledDatalog, ConstId, ConstResolver, LowerCtx, PlannedLiteral,
+    PlannedRule, ReadMode, Schema,
+};
 use crate::error::DatalogError;
 use granlog_engine::rterm::RTerm;
 use granlog_ir::{FastMap, PredId, Symbol, Term};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Slot sentinel: not yet bound.
 const UNBOUND: u32 = u32::MAX;
@@ -34,9 +49,63 @@ pub struct FixpointStats {
     pub derived_facts: u64,
     /// Ground facts loaded from the program.
     pub edb_facts: u64,
-    /// Join batches executed (one per rule/delta-variant/round, plus one
-    /// per query).
+    /// Join batches executed (one per rule and round in seeding rounds,
+    /// one per rule and grown delta literal in semi-naive rounds).
     pub join_batches: u64,
+    /// Join probes: every tuple tried against a literal, plus every
+    /// membership and anti-join lookup.
+    pub probes: u64,
+}
+
+/// Ids a [`Key`] holds without a heap allocation.
+const INLINE: usize = 4;
+
+/// A stored tuple or index key: up to [`INLINE`] ids inline, longer keys
+/// boxed. It hashes and compares as the `[ConstId]` slice it holds, so
+/// maps keyed by it are probed with a plain slice.
+#[derive(Debug, Clone)]
+enum Key {
+    Inline(u8, [ConstId; INLINE]),
+    Boxed(Box<[ConstId]>),
+}
+
+impl Key {
+    fn new(ids: &[ConstId]) -> Key {
+        if ids.len() <= INLINE {
+            let mut inline = [0; INLINE];
+            inline[..ids.len()].copy_from_slice(ids);
+            Key::Inline(ids.len() as u8, inline)
+        } else {
+            Key::Boxed(ids.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[ConstId] {
+        match self {
+            Key::Inline(len, ids) => &ids[..*len as usize],
+            Key::Boxed(ids) => ids,
+        }
+    }
+}
+
+impl Borrow<[ConstId]> for Key {
+    fn borrow(&self) -> &[ConstId] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
 }
 
 /// One hash index over a relation: key columns → posting list of tuple
@@ -44,35 +113,49 @@ pub struct FixpointStats {
 #[derive(Debug, Default)]
 struct Index {
     cols: Vec<u32>,
-    map: FastMap<Box<[ConstId]>, Vec<usize>>,
+    map: FastMap<Key, Vec<usize>>,
 }
 
-/// A fact relation: insertion-ordered tuples, a dedup/membership map, and
-/// the registered indexes.
+/// A fact relation: insertion-ordered tuples stored flat, a
+/// dedup/membership map, and the registered indexes.
 #[derive(Debug, Default)]
 struct Relation {
-    tuples: Vec<Box<[ConstId]>>,
-    set: FastMap<Box<[ConstId]>, usize>,
+    arity: usize,
+    /// Every tuple's `arity` ids, back to back, in insertion order.
+    data: Vec<ConstId>,
+    /// Tuple → its insertion index.
+    set: FastMap<Key, usize>,
     indexes: Vec<Index>,
 }
 
 impl Relation {
-    fn insert(&mut self, tuple: Box<[ConstId]>) -> bool {
-        if self.set.contains_key(&tuple) {
+    /// Inserts a tuple unless present; `key` is scratch for index keys.
+    fn insert(&mut self, tuple: &[ConstId], key: &mut Vec<ConstId>) -> bool {
+        if self.set.contains_key(tuple) {
             return false;
         }
-        let idx = self.tuples.len();
+        let idx = self.len();
         for ix in &mut self.indexes {
-            let key: Box<[ConstId]> = ix.cols.iter().map(|&c| tuple[c as usize]).collect();
-            ix.map.entry(key).or_default().push(idx);
+            key.clear();
+            key.extend(ix.cols.iter().map(|&c| tuple[c as usize]));
+            match ix.map.get_mut(key.as_slice()) {
+                Some(postings) => postings.push(idx),
+                None => {
+                    ix.map.insert(Key::new(key), vec![idx]);
+                }
+            }
         }
-        self.set.insert(tuple.clone(), idx);
-        self.tuples.push(tuple);
+        self.set.insert(Key::new(tuple), idx);
+        self.data.extend_from_slice(tuple);
         true
     }
 
     fn len(&self) -> usize {
-        self.tuples.len()
+        self.set.len()
+    }
+
+    fn tuple(&self, i: usize) -> &[ConstId] {
+        &self.data[i * self.arity..(i + 1) * self.arity]
     }
 }
 
@@ -80,10 +163,8 @@ impl Relation {
 /// queries. Immutable once built — safe to cache and share across sessions.
 #[derive(Debug)]
 pub struct Database {
-    consts: ConstTable,
+    schema: Arc<Schema>,
     rels: Vec<Relation>,
-    preds: Vec<(PredId, usize)>,
-    pred_ix: FastMap<PredId, usize>,
     stats: FixpointStats,
 }
 
@@ -129,96 +210,79 @@ fn rterm_to_ir(r: &RTerm) -> Term {
     }
 }
 
-/// A probe-ready literal for the join driver (compiled rules and lowered
-/// queries both reduce to this).
-struct EvalLit {
-    rel: usize,
-    negated: bool,
-    args: Vec<ArgPat>,
-    /// Registered index serving this probe (`None`: full scan within
-    /// bounds, or an all-columns-bound membership test).
-    index_slot: Option<usize>,
-    all_bound: bool,
+/// Buffers one evaluation (or query) reuses across all its join batches.
+#[derive(Default)]
+struct Scratch {
+    /// The rule frame: one constant per slot, [`UNBOUND`] when unbound.
+    bind: Vec<u32>,
+    /// The probe key under construction.
+    key: Vec<ConstId>,
+    /// Slots bound by the probes on the current path, undone on backtrack.
+    trail: Vec<u32>,
 }
 
-/// Nested-loop join over indexed relation views with per-position
-/// tuple-index bounds `(lo, hi)` — the semi-naive delta/total split is
+/// Nested-loop join of one plan over the relations. Each literal's read
+/// mode picks its tuple-index range: the semi-naive delta/total split is
 /// expressed purely through these ranges.
 struct Join<'a, F: FnMut(&[u32])> {
-    rels: &'a [&'a Relation],
-    lits: &'a [EvalLit],
-    bounds: &'a [(usize, usize)],
-    /// Per-literal scratch recording which slots that probe bound, so the
-    /// bindings can be undone on backtrack without per-tuple allocation.
-    trails: Vec<Vec<u32>>,
+    rels: &'a [Relation],
+    lits: &'a [PlannedLiteral],
+    /// Per relation: the first tuple the previous round inserted.
+    starts: &'a [usize],
+    scratch: &'a mut Scratch,
+    probes: u64,
     emit: F,
 }
 
-impl<'a, F: FnMut(&[u32])> Join<'a, F> {
-    fn new(
-        rels: &'a [&'a Relation],
-        lits: &'a [EvalLit],
-        bounds: &'a [(usize, usize)],
-        emit: F,
-    ) -> Self {
-        Join {
-            rels,
-            lits,
-            bounds,
-            trails: vec![Vec::new(); lits.len()],
-            emit,
-        }
-    }
-
-    fn run(&mut self, num_slots: usize) -> Result<(), DatalogError> {
+impl<F: FnMut(&[u32])> Join<'_, F> {
+    /// Runs the join, returning its probe count.
+    fn run(mut self, num_slots: usize) -> Result<u64, DatalogError> {
         granlog_fault::fail_or("datalog.join", || DatalogError::Fault("datalog.join"))?;
-        let mut bind = vec![UNBOUND; num_slots];
-        self.step(0, &mut bind);
-        Ok(())
+        self.scratch.bind.clear();
+        self.scratch.bind.resize(num_slots, UNBOUND);
+        self.step(0);
+        Ok(self.probes)
     }
 
-    fn resolve(arg: ArgPat, bind: &[u32]) -> ConstId {
-        match arg {
-            ArgPat::Const(c) => c,
-            ArgPat::Var(s) => bind[s as usize],
-        }
+    /// Fills the key buffer with `args` resolved under the current frame.
+    fn fill_key(&mut self, args: impl Iterator<Item = ArgPat>) {
+        let Scratch { bind, key, .. } = &mut *self.scratch;
+        key.clear();
+        key.extend(args.map(|arg| resolve(arg, bind)));
     }
 
-    fn step(&mut self, pos: usize, bind: &mut Vec<u32>) {
-        if pos == self.lits.len() {
-            (self.emit)(bind);
+    fn step(&mut self, pos: usize) {
+        let (lits, rels) = (self.lits, self.rels);
+        let Some(lit) = lits.get(pos) else {
+            (self.emit)(&self.scratch.bind);
             return;
-        }
-        let lits = self.lits;
-        let rels = self.rels;
-        let lit = &lits[pos];
-        let rel = rels[lit.rel];
-        let (lo, hi) = self.bounds[pos];
-        if lit.negated {
-            // Anti-join: all columns are bound (range restriction) and the
-            // relation is from a strictly lower stratum, hence complete.
-            let key: Box<[ConstId]> = lit.args.iter().map(|&a| Self::resolve(a, bind)).collect();
-            if rel.set.get(&key).is_none_or(|&i| i >= hi) {
-                self.step(pos + 1, bind);
-            }
-            return;
-        }
-        if lit.all_bound {
-            let key: Box<[ConstId]> = lit.args.iter().map(|&a| Self::resolve(a, bind)).collect();
-            if rel.set.get(&key).is_some_and(|&i| lo <= i && i < hi) {
-                self.step(pos + 1, bind);
+        };
+        let rel = &rels[lit.rel];
+        let (lo, hi) = match lit.read {
+            ReadMode::Total => (0, rel.len()),
+            ReadMode::Delta => (self.starts[lit.rel], rel.len()),
+            ReadMode::Old => (0, self.starts[lit.rel]),
+        };
+        if lit.negated || lit.all_bound {
+            // Membership test; for a negation, an anti-join. A negated
+            // literal has all columns bound (range restriction) and reads
+            // a strictly lower stratum, which is complete.
+            self.probes += 1;
+            self.fill_key(lit.args.iter().copied());
+            let found = rel
+                .set
+                .get(self.scratch.key.as_slice())
+                .is_some_and(|&i| lo <= i && i < hi);
+            if found != lit.negated {
+                self.step(pos + 1);
             }
             return;
         }
         match lit.index_slot {
             Some(slot) => {
                 let ix = &rel.indexes[slot];
-                let key: Box<[ConstId]> = ix
-                    .cols
-                    .iter()
-                    .map(|&c| Self::resolve(lit.args[c as usize], bind))
-                    .collect();
-                let Some(postings) = ix.map.get(&key) else {
+                self.fill_key(ix.cols.iter().map(|&c| lit.args[c as usize]));
+                let Some(postings) = ix.map.get(self.scratch.key.as_slice()) else {
                     return;
                 };
                 let start = postings.partition_point(|&i| i < lo);
@@ -226,55 +290,75 @@ impl<'a, F: FnMut(&[u32])> Join<'a, F> {
                     if i >= hi {
                         break;
                     }
-                    self.try_tuple(pos, i, bind);
+                    self.try_tuple(pos, rel.tuple(i));
                 }
             }
             None => {
-                let end = hi.min(rel.len());
-                for i in lo..end {
-                    self.try_tuple(pos, i, bind);
+                for i in lo..hi {
+                    self.try_tuple(pos, rel.tuple(i));
                 }
             }
         }
     }
 
-    fn try_tuple(&mut self, pos: usize, tuple_idx: usize, bind: &mut Vec<u32>) {
-        let lits = self.lits;
-        let rels = self.rels;
-        let lit = &lits[pos];
-        let tuple = &rels[lit.rel].tuples[tuple_idx];
-        let mut matched = true;
-        self.trails[pos].clear();
-        for (col, &arg) in lit.args.iter().enumerate() {
-            let v = tuple[col];
-            match arg {
-                ArgPat::Const(c) => {
-                    if c != v {
-                        matched = false;
-                        break;
-                    }
-                }
-                ArgPat::Var(s) => {
-                    let slot = s as usize;
-                    if bind[slot] == UNBOUND {
-                        bind[slot] = v;
-                        self.trails[pos].push(s);
-                    } else if bind[slot] != v {
-                        matched = false;
-                        break;
-                    }
+    fn try_tuple(&mut self, pos: usize, tuple: &[ConstId]) {
+        self.probes += 1;
+        let lit = &self.lits[pos];
+        let Scratch { bind, trail, .. } = &mut *self.scratch;
+        let mark = trail.len();
+        let matched = lit.args.iter().zip(tuple).all(|(&arg, &v)| match arg {
+            ArgPat::Const(c) => c == v,
+            ArgPat::Var(s) => {
+                let slot = &mut bind[s as usize];
+                if *slot == UNBOUND {
+                    *slot = v;
+                    trail.push(s);
+                    true
+                } else {
+                    *slot == v
                 }
             }
-        }
+        });
         if matched {
-            self.step(pos + 1, bind);
+            self.step(pos + 1);
         }
-        let mut k = 0;
-        while k < self.trails[pos].len() {
-            bind[self.trails[pos][k] as usize] = UNBOUND;
-            k += 1;
+        let Scratch { bind, trail, .. } = &mut *self.scratch;
+        for s in trail.drain(mark..) {
+            bind[s as usize] = UNBOUND;
         }
-        self.trails[pos].clear();
+    }
+}
+
+fn resolve(arg: ArgPat, bind: &[u32]) -> ConstId {
+    match arg {
+        ArgPat::Const(c) => c,
+        ArgPat::Var(s) => bind[s as usize],
+    }
+}
+
+/// Head tuples derived in one round, buffered flat until the round's joins
+/// finish.
+#[derive(Default)]
+struct Derived {
+    rels: Vec<usize>,
+    vals: Vec<ConstId>,
+}
+
+impl Derived {
+    /// Inserts every buffered tuple, returning how many were new.
+    fn drain_into(&mut self, rels: &mut [Relation], key: &mut Vec<ConstId>) -> u64 {
+        let mut inserted = 0;
+        let mut off = 0;
+        for &rel in &self.rels {
+            let end = off + rels[rel].arity;
+            if rels[rel].insert(&self.vals[off..end], key) {
+                inserted += 1;
+            }
+            off = end;
+        }
+        self.rels.clear();
+        self.vals.clear();
+        inserted
     }
 }
 
@@ -299,28 +383,40 @@ impl CompiledDatalog {
     ) -> Result<Database, DatalogError> {
         let mut stats = FixpointStats::default();
         let mut rels: Vec<Relation> = self
+            .schema
             .preds
             .iter()
-            .enumerate()
-            .map(|(i, _)| Relation {
-                tuples: Vec::new(),
-                set: FastMap::default(),
-                indexes: self.rel_indexes[i]
+            .zip(&self.rel_indexes)
+            .map(|(pred, specs)| Relation {
+                arity: pred.arity,
+                indexes: specs
                     .iter()
                     .map(|cols| Index {
                         cols: cols.clone(),
                         map: FastMap::default(),
                     })
                     .collect(),
+                ..Relation::default()
             })
             .collect();
-
+        let mut scratch = Scratch::default();
         for (rel, tuple) in &self.facts {
-            if rels[*rel].insert(tuple.clone()) {
+            if rels[*rel].insert(tuple, &mut scratch.key) {
                 stats.edb_facts += 1;
             }
         }
 
+        // Per relation written by the current stratum: where the previous
+        // round's insertions start (the delta runs from there to the end).
+        let mut starts = vec![0; rels.len()];
+        let mut out = Derived::default();
+        let round = |stats: &mut FixpointStats| {
+            granlog_fault::fail_or("datalog.fixpoint.round", || {
+                DatalogError::Fault("datalog.fixpoint.round")
+            })?;
+            stats.rounds += 1;
+            Ok::<(), DatalogError>(())
+        };
         for (stratum_ix, stratum) in self.strata.iter().enumerate() {
             if stratum.rules.is_empty() {
                 continue;
@@ -334,31 +430,27 @@ impl CompiledDatalog {
                     ],
                 );
             }
-            // Delta ranges per relation written by this stratum:
-            // (start, end) of the tuples inserted by the previous round.
-            let mut delta: FastMap<usize, (usize, usize)> = FastMap::default();
 
             // Seeding round: every rule once against the current totals
             // (lower strata plus this stratum's ground facts).
-            granlog_fault::fail_or("datalog.fixpoint.round", || {
-                DatalogError::Fault("datalog.fixpoint.round")
-            })?;
-            stats.rounds += 1;
-            let mut out: Vec<(usize, Box<[ConstId]>)> = Vec::new();
+            round(&mut stats)?;
             for &r in &stratum.rules {
                 let rule = &self.rules[r];
-                let bounds: Vec<(usize, usize)> =
-                    rule.lits.iter().map(|l| (0, rels[l.rel].len())).collect();
-                run_rule(rule, &rels, &bounds, &mut out, &mut stats)?;
+                run_rule(
+                    rule,
+                    &rule.seed,
+                    &rels,
+                    &starts,
+                    &mut scratch,
+                    &mut out,
+                    &mut stats,
+                )?;
             }
             loop {
-                let before: Vec<usize> = stratum.rels.iter().map(|&r| rels[r].len()).collect();
-                let mut inserted = 0u64;
-                for (rel, tuple) in out.drain(..) {
-                    if rels[rel].insert(tuple) {
-                        inserted += 1;
-                    }
+                for &r in &stratum.rels {
+                    starts[r] = rels[r].len();
                 }
+                let inserted = out.drain_into(&mut rels, &mut scratch.key);
                 stats.derived_facts += inserted;
                 if let Some(t) = tracer {
                     t.emit(
@@ -370,99 +462,67 @@ impl CompiledDatalog {
                         ],
                     );
                 }
-                delta.clear();
-                for (i, &r) in stratum.rels.iter().enumerate() {
-                    if rels[r].len() > before[i] {
-                        delta.insert(r, (before[i], rels[r].len()));
-                    }
-                }
-                if delta.is_empty() {
+                if inserted == 0 {
                     break;
                 }
 
-                // Semi-naive round: each rule joins its delta positions
-                // against the previous round's insertions.
-                granlog_fault::fail_or("datalog.fixpoint.round", || {
-                    DatalogError::Fault("datalog.fixpoint.round")
-                })?;
-                stats.rounds += 1;
+                // Semi-naive round: each rule runs its delta-first plan for
+                // every recursive literal whose relation just grew.
+                round(&mut stats)?;
                 for &r in &stratum.rules {
                     let rule = &self.rules[r];
-                    for &dpos in &rule.delta_positions {
-                        let drel = rule.lits[dpos].rel;
-                        let Some(&(dlo, dhi)) = delta.get(&drel) else {
-                            continue;
-                        };
-                        let bounds: Vec<(usize, usize)> = rule
-                            .lits
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, l)| {
-                                if pos == dpos {
-                                    (dlo, dhi)
-                                } else if pos > dpos {
-                                    // Strictly-old tuples after the delta
-                                    // position: no double derivation.
-                                    match delta.get(&l.rel) {
-                                        Some(&(lo, _)) => (0, lo),
-                                        None => (0, rels[l.rel].len()),
-                                    }
-                                } else {
-                                    (0, rels[l.rel].len())
-                                }
-                            })
-                            .collect();
-                        run_rule(rule, &rels, &bounds, &mut out, &mut stats)?;
+                    for plan in &rule.deltas {
+                        let drel = plan[0].rel;
+                        if rels[drel].len() > starts[drel] {
+                            run_rule(
+                                rule,
+                                plan,
+                                &rels,
+                                &starts,
+                                &mut scratch,
+                                &mut out,
+                                &mut stats,
+                            )?;
+                        }
                     }
                 }
             }
         }
 
         Ok(Database {
-            consts: self.consts.clone(),
+            schema: Arc::clone(&self.schema),
             rels,
-            preds: self.preds.iter().map(|p| (p.pred, p.arity)).collect(),
-            pred_ix: self.pred_ix.clone(),
             stats,
         })
     }
 }
 
-/// Executes one rule (one join batch) under the given per-position bounds,
-/// collecting derived head tuples into `out`.
+/// Executes one plan of a rule (one join batch), buffering the derived
+/// head tuples into `out`.
 fn run_rule(
-    rule: &crate::compile::PlannedRule,
+    rule: &PlannedRule,
+    plan: &[PlannedLiteral],
     rels: &[Relation],
-    bounds: &[(usize, usize)],
-    out: &mut Vec<(usize, Box<[ConstId]>)>,
+    starts: &[usize],
+    scratch: &mut Scratch,
+    out: &mut Derived,
     stats: &mut FixpointStats,
 ) -> Result<(), DatalogError> {
     stats.join_batches += 1;
-    let lits: Vec<EvalLit> = rule
-        .lits
-        .iter()
-        .map(|l| EvalLit {
-            rel: l.rel,
-            negated: l.negated,
-            args: l.args.clone(),
-            index_slot: l.index_slot,
-            all_bound: l.all_bound,
-        })
-        .collect();
-    let views: Vec<&Relation> = rels.iter().collect();
-    let head_rel = rule.rel;
-    let head_args = &rule.head_args;
-    let mut join = Join::new(&views, &lits, bounds, |bind: &[u32]| {
-        let tuple: Box<[ConstId]> = head_args
-            .iter()
-            .map(|a| match a {
-                ArgPat::Const(c) => *c,
-                ArgPat::Var(s) => bind[*s as usize],
-            })
-            .collect();
-        out.push((head_rel, tuple));
-    });
-    join.run(rule.num_slots)
+    let join = Join {
+        rels,
+        lits: plan,
+        starts,
+        scratch,
+        probes: 0,
+        emit: |bind: &[u32]| {
+            out.rels.push(rule.rel);
+            out.vals
+                .extend(rule.head_args.iter().map(|&arg| resolve(arg, bind)));
+        },
+    };
+    stats.probes += join.run(rule.num_slots)?;
+    Ok(())
 }
 
 impl Database {
@@ -479,16 +539,20 @@ impl Database {
     /// Tuples in one relation (0 for unknown predicates — legal Datalog,
     /// an empty relation).
     pub fn relation_size(&self, pred: PredId) -> usize {
-        self.pred_ix.get(&pred).map_or(0, |&i| self.rels[i].len())
+        self.schema
+            .pred_ix
+            .get(&pred)
+            .map_or(0, |&i| self.rels[i].len())
     }
 
     /// Every predicate in the database with its relation size, in
     /// deterministic order.
     pub fn predicates(&self) -> impl Iterator<Item = (PredId, usize)> + '_ {
-        self.preds
+        self.schema
+            .preds
             .iter()
-            .enumerate()
-            .map(|(i, &(pred, _))| (pred, self.rels[i].len()))
+            .zip(&self.rels)
+            .map(|(p, rel)| (p.pred, rel.len()))
     }
 
     /// Answers a query goal against the materialized database.
@@ -500,9 +564,19 @@ impl Database {
     /// [`granlog_ir::parser::parse_term`] returns them. Answers come back
     /// in derivation order, one row per distinct variable assignment.
     pub fn query(&self, goal: &Term, var_names: &[Symbol]) -> Result<QueryAnswers, DatalogError> {
+        self.query_counted(goal, var_names)
+            .map(|(answers, _)| answers)
+    }
+
+    /// [`Database::query`] plus the number of probes its join made.
+    pub(crate) fn query_counted(
+        &self,
+        goal: &Term,
+        var_names: &[Symbol],
+    ) -> Result<(QueryAnswers, u64), DatalogError> {
         let display = granlog_ir::pretty::TermWithNames::new(goal, var_names).to_string();
         let mut ctx = LowerCtx::new(display, var_names);
-        let mut resolver = ConstResolver::Lookup(&self.consts);
+        let mut resolver = ConstResolver::Lookup(&self.schema.consts);
         let mut lowered = Vec::new();
         ctx.lower_body(goal, &mut resolver, &mut lowered)?;
 
@@ -543,65 +617,53 @@ impl Database {
                 });
             }
         }
+        let no_answers = |vars| {
+            Ok((
+                QueryAnswers {
+                    vars,
+                    rows: Vec::new(),
+                },
+                0,
+            ))
+        };
         if impossible {
-            return Ok(QueryAnswers {
-                vars,
-                rows: Vec::new(),
-            });
+            return no_answers(vars);
         }
 
         // A positive literal over a predicate the program never mentions is
-        // an empty relation: no answers. A negated one passes trivially and
-        // is pointed at a shared empty relation view.
-        let empty = Relation::default();
-        let mut views: Vec<&Relation> = self.rels.iter().collect();
-        views.push(&empty);
-        let empty_idx = views.len() - 1;
-
-        let mut bound_slots: BTreeSet<u32> = BTreeSet::new();
-        let mut lits: Vec<EvalLit> = Vec::with_capacity(pos_lits.len() + neg_lits.len());
-        for l in pos_lits.iter().chain(neg_lits.iter()) {
-            let rel = match self.pred_ix.get(&l.pred) {
-                Some(&i) => i,
-                None if l.negated => empty_idx,
-                None => {
-                    return Ok(QueryAnswers {
-                        vars,
-                        rows: Vec::new(),
-                    })
-                }
-            };
-            let all_bound = l.args.iter().all(|a| match a {
-                ArgPat::Const(_) => true,
-                ArgPat::Var(s) => bound_slots.contains(s),
-            });
-            if !l.negated {
-                for a in &l.args {
-                    if let ArgPat::Var(s) = a {
-                        bound_slots.insert(*s);
-                    }
-                }
+        // an empty relation: no answers. A negated one is trivially true
+        // and dropped.
+        let mut order = Vec::with_capacity(pos_lits.len() + neg_lits.len());
+        for l in pos_lits.iter().chain(&neg_lits) {
+            match self.schema.pred_ix.get(&l.pred) {
+                Some(&rel) => order.push((l, rel, ReadMode::Total)),
+                None if l.negated => {}
+                None => return no_answers(vars),
             }
-            lits.push(EvalLit {
-                rel,
-                negated: l.negated,
-                args: l.args.clone(),
-                index_slot: None,
-                all_bound,
-            });
         }
-
-        let bounds: Vec<(usize, usize)> = lits.iter().map(|_| (0, usize::MAX)).collect();
-        let mut rows: Vec<Vec<RTerm>> = Vec::new();
-        let mut join = Join::new(&views, &lits, &bounds, |bind: &[u32]| {
-            rows.push(
-                (0..num_slots)
-                    .map(|s| RTerm::from_ir(self.consts.term(bind[s]), 0))
-                    .collect(),
-            );
+        // Partial-key probes use an index the program's rules registered
+        // over exactly their bound columns; otherwise they scan.
+        let lits = plan_probes(order, |rel, cols| {
+            self.rels[rel].indexes.iter().position(|ix| ix.cols == cols)
         });
-        join.run(num_slots)?;
-        drop(join);
-        Ok(QueryAnswers { vars, rows })
+
+        let mut rows: Vec<Vec<RTerm>> = Vec::new();
+        let join = Join {
+            rels: &self.rels,
+            lits: &lits,
+            // Every query literal reads the total: no delta starts.
+            starts: &[],
+            scratch: &mut Scratch::default(),
+            probes: 0,
+            emit: |bind: &[u32]| {
+                rows.push(
+                    bind.iter()
+                        .map(|&c| RTerm::from_ir(self.schema.consts.term(c), 0))
+                        .collect(),
+                );
+            },
+        };
+        let probes = join.run(num_slots)?;
+        Ok((QueryAnswers { vars, rows }, probes))
     }
 }

@@ -13,12 +13,12 @@
 //! disjunction, arithmetic, builtins, metacalls and non-ground compound
 //! arguments with a typed [`DatalogError`] naming the offending clause),
 //! checks range restriction, stratifies negation, and flattens every rule
-//! into an indexed join plan. [`CompiledDatalog::evaluate`] then runs the
-//! stratified semi-naive fixpoint into an immutable [`Database`], and
-//! [`Database::query`] answers conjunctive goals with *all* answers,
-//! materialized through the engine's canonical
-//! [`RTerm`](granlog_engine::rterm::RTerm) boundary so they are directly
-//! comparable to SLD answer sets.
+//! into indexed join plans (one delta-first plan per recursive literal).
+//! [`CompiledDatalog::evaluate`] then runs the stratified semi-naive
+//! fixpoint into an immutable [`Database`], and [`Database::query`]
+//! answers conjunctive goals with *all* answers, materialized through the
+//! engine's canonical [`RTerm`](granlog_engine::rterm::RTerm) boundary so
+//! they are directly comparable to SLD answer sets.
 
 mod compile;
 mod error;
@@ -274,6 +274,31 @@ mod tests {
         // One seeding round plus one round per chain hop plus the empty
         // closing round.
         assert!(stats.rounds >= 40, "rounds = {}", stats.rounds);
+    }
+
+    #[test]
+    fn query_probes_a_registered_index() {
+        let facts = "entry(h0). link(h0, h1). link(h0, h2). link(h1, h2).
+                     link(h2, h3). link(h3, h4).";
+        // The recursive rule's delta-first plan registers a `link[0]` index.
+        let indexed = db(&format!(
+            "{facts} reach(H) :- entry(H). reach(T) :- link(S, T), reach(S)."
+        ));
+        let unindexed = db(facts);
+        let (goal, names) = parse_term("link(h0, Y)").unwrap();
+        let (with_index, indexed_probes) = indexed.query_counted(&goal, &names).unwrap();
+        let (scanned, scan_probes) = unindexed.query_counted(&goal, &names).unwrap();
+        let render = |a: &QueryAnswers| -> Vec<String> {
+            let mut v: Vec<String> = (0..a.rows.len())
+                .map(|i| a.bindings(i)[0].1.to_string())
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(render(&with_index), vec!["h1", "h2"]);
+        assert_eq!(render(&with_index), render(&scanned));
+        // The index probe tries only h0's two links; the scan tries all five.
+        assert_eq!((indexed_probes, scan_probes), (2, 5));
     }
 
     #[test]

@@ -263,6 +263,143 @@ fn rejections_are_typed_and_name_the_clause() {
     }
 }
 
+/// Semi-naive rounds must cost in proportion to the delta, not to the
+/// relations: on a chain, where each round adds one host, doubling the
+/// host count may at most (about) double the join probes. This is a
+/// counter gate, deterministic on any host; a plan that rescans `link`
+/// every round makes the ratio about 4.
+#[test]
+fn attack_chain_probes_scale_linearly() {
+    let chain = datalog_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "attack_chain")
+        .expect("attack_chain is registered");
+    let probes = |n: usize| {
+        let (_, db) = compile_source(&chain.source(n));
+        db.stats().probes
+    };
+    let (small, large) = (probes(500), probes(1000));
+    assert!(small > 0, "the fixpoint probes something");
+    assert!(
+        large as f64 <= 2.2 * small as f64,
+        "attack_chain probes grow superlinearly: {small} at 500 hosts, {large} at 1000"
+    );
+}
+
+/// A binary relation's answers as `(from, to)` pairs.
+fn pairs(db: &Database, pred: &str) -> BTreeSet<(String, String)> {
+    bottom_up_answers(db, &format!("{pred}(A, B)"))
+        .into_iter()
+        .map(|row| (row[0].clone(), row[1].clone()))
+        .collect()
+}
+
+/// `a ∘ b` over pair sets.
+fn compose(
+    a: &BTreeSet<(String, String)>,
+    b: &BTreeSet<(String, String)>,
+) -> BTreeSet<(String, String)> {
+    a.iter()
+        .flat_map(|(x, y)| {
+            b.iter()
+                .filter(move |(y2, _)| y2 == y)
+                .map(move |(_, z)| (x.clone(), z.clone()))
+        })
+        .collect()
+}
+
+/// Edge facts as source text and as a pair set.
+fn edges(pred: &str, list: &[(usize, usize)]) -> (String, BTreeSet<(String, String)>) {
+    let src = list
+        .iter()
+        .map(|(a, b)| format!("{pred}(n{a}, n{b}).\n"))
+        .collect();
+    let set = list
+        .iter()
+        .map(|(a, b)| (format!("n{a}"), format!("n{b}")))
+        .collect();
+    (src, set)
+}
+
+/// Nonlinear transitive closure: both body literals of the recursive rule
+/// are delta positions of the same relation. The answer set equals a
+/// closure computed outside the engine, and the fixpoint's counters equal
+/// the values recorded before delta-first join plans existed.
+#[test]
+fn nonlinear_closure_with_two_delta_positions() {
+    let mut list: Vec<(usize, usize)> = (0..16).map(|i| (i, i + 1)).collect();
+    list.extend([(16, 9), (2, 12)]);
+    let (facts, edge) = edges("edge", &list);
+    let (_, db) = compile_source(&format!(
+        "{facts}path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), path(Y, Z).\n"
+    ));
+
+    let mut closure = edge.clone();
+    loop {
+        let next: BTreeSet<_> = closure.union(&compose(&closure, &edge)).cloned().collect();
+        if next == closure {
+            break;
+        }
+        closure = next;
+    }
+    assert_eq!(pairs(&db, "path"), closure);
+
+    let stats = db.stats();
+    assert_eq!(closure.len(), 172);
+    assert_eq!(
+        (stats.derived_facts, stats.rounds, stats.join_batches),
+        (172, 6, 12)
+    );
+}
+
+/// Mutual recursion where the three-literal rule's middle literal is a
+/// delta position between two others: `q` before it reads the total, `q`
+/// after it reads only old tuples. Answers equal a naive fixpoint computed
+/// outside the engine; counters equal the values recorded before
+/// delta-first join plans existed.
+#[test]
+fn middle_delta_literal_in_mutual_recursion() {
+    let mut list: Vec<(usize, usize)> = (0..14).map(|i| (i, i + 1)).collect();
+    list.extend([(14, 3), (5, 11)]);
+    let (facts, e) = edges("e", &list);
+    let (_, db) = compile_source(&format!(
+        "{facts}mark(n4). mark(n8). mark(n12).
+         q(X, Y) :- e(X, Y).
+         q(X, Y) :- p(X, Y), mark(Y).
+         p(X, Y) :- q(X, Y), mark(X).
+         p(X, Z) :- q(X, Y), p(Y, W), q(W, Z).\n"
+    ));
+
+    let marked = |h: &String| ["n4", "n8", "n12"].contains(&h.as_str());
+    let (mut p, mut q) = (BTreeSet::new(), e.clone());
+    loop {
+        let q_next: BTreeSet<_> = q
+            .iter()
+            .cloned()
+            .chain(p.iter().filter(|(_, y)| marked(y)).cloned())
+            .collect();
+        let p_next: BTreeSet<_> = p
+            .iter()
+            .cloned()
+            .chain(q.iter().filter(|(x, _)| marked(x)).cloned())
+            .chain(compose(&compose(&q, &p), &q))
+            .collect();
+        if (&p_next, &q_next) == (&p, &q) {
+            break;
+        }
+        (p, q) = (p_next, q_next);
+    }
+    assert_eq!(pairs(&db, "p"), p);
+    assert_eq!(pairs(&db, "q"), q);
+
+    let stats = db.stats();
+    assert_eq!((p.len(), q.len()), (180, 58));
+    assert_eq!(
+        (stats.derived_facts, stats.rounds, stats.join_batches),
+        (238, 11, 43)
+    );
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
